@@ -334,7 +334,8 @@ type Engine = engine.Engine
 
 // EngineOptions sizes an Engine's worker pool, plan memo and shard
 // count (EngineOptions.Shards; default min(GOMAXPROCS, Workers), an
-// explicit value rounded up to a power of two).
+// explicit value rounded up to a power of two) and fixes its solve
+// width (EngineOptions.SolveWorkers: 0 auto, 1 serial, k pinned).
 type EngineOptions = engine.Options
 
 // PlanRequest is one planning job submitted to an Engine.
@@ -563,8 +564,8 @@ func MergeSnapshots(snaps ...HistogramSnapshot) HistogramSnapshot {
 }
 
 // Tuner is the metrics-driven self-tuner: each cycle retunes the
-// engine's scratch pools and retargets its DP worker team from the live
-// solve-size histogram, recording a TuningEvent. Engine satisfies
+// engine's scratch pools (and, when configured, the admission bound),
+// recording a TuningEvent with the solve sizes it saw. Engine satisfies
 // TunableEngine.
 type Tuner = ops.Tuner
 type TunerConfig = ops.TunerConfig

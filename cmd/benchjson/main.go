@@ -33,6 +33,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"chainckpt/internal/atomicfile"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -334,7 +336,7 @@ func main() {
 	data = append(data, '\n')
 	if *out == "" {
 		os.Stdout.Write(data)
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
+	} else if err := atomicfile.WriteFile(*out, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -17,9 +17,10 @@
 //	-html path  write a self-contained HTML report (figures + summary)
 //	-workers k  planning worker pool size (default GOMAXPROCS)
 //	-solve-workers k  DP worker team per solve: 1 serial (default), 0
-//	            auto above the crossover length, k>1 pinned width —
-//	            the knob for mega-chain sweeps where one big solve,
-//	            not the sweep fan-out, dominates the wall clock
+//	            auto (a team only when GOMAXPROCS > 1 and the chain has
+//	            at least 192 tasks), k>1 pinned width, negative values
+//	            rejected — the knob for mega-chain sweeps where one big
+//	            solve, not the sweep fan-out, dominates the wall clock
 //
 // All planning goes through the shared batch engine (internal/engine):
 // sweeps run at instance-level parallelism and repeated instances are
@@ -35,6 +36,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"chainckpt/internal/atomicfile"
 	"chainckpt/internal/core"
 	"chainckpt/internal/engine"
 	"chainckpt/internal/experiments"
@@ -56,8 +58,9 @@ func main() {
 	outDir := flag.String("out", "", "directory for CSV output")
 	htmlPath := flag.String("html", "", "write an HTML report (figures 5/7/8 + summary) to this file")
 	workers := flag.Int("workers", 0, "planning worker pool size (0 = GOMAXPROCS)")
-	solveWorkers := flag.Int("solve-workers", 1,
-		"DP worker team per solve (1 = serial, 0 = auto above the crossover, k>1 = pinned width)")
+	solveWorkers := core.SolveWorkersFlag(1)
+	flag.Var(&solveWorkers, "solve-workers",
+		"DP worker team per solve (1 = serial, 0 = auto: a team only when GOMAXPROCS > 1 and n >= 192, k>1 = pinned width)")
 	statsDump := flag.Bool("stats", false,
 		"print a one-shot metrics summary (per-shard solve latency quantiles, memo traffic, SLO/admission/tuner counters) at exit")
 	flag.Parse()
@@ -79,21 +82,14 @@ func main() {
 		// shows the same picture as the server: the controller gates
 		// each experiment (batch class), the tracker reads the engine's
 		// solve-latency histograms, and a final tuner cycle records the
-		// regime the sweep's solve sizes landed in.
+		// sweep's solve sizes.
 		opsM = ops.NewMetrics(reg)
 		admission = ops.NewController(ops.ControllerConfig{}, opsM)
 	}
-	if *workers > 0 || *solveWorkers != 1 || *statsDump {
-		// CLI semantics (1 serial, 0 auto) map onto engine.Options,
-		// where zero is the compat serial default and negative selects
-		// auto.
-		engineSolveWorkers := *solveWorkers
-		if engineSolveWorkers == 0 {
-			engineSolveWorkers = -1
-		}
+	if *workers > 0 || solveWorkers != 1 || *statsDump {
 		em := engine.NewMetrics(reg)
 		eng := engine.New(engine.Options{
-			Workers: *workers, SolveWorkers: engineSolveWorkers,
+			Workers: *workers, SolveWorkers: int(solveWorkers),
 			Metrics: em,
 		})
 		engine.SetDefault(eng)
@@ -364,8 +360,8 @@ func main() {
 		admission.Close()
 		fmt.Println("==================== metrics ====================")
 		par := engine.Default().Stats().Kernel.Parallel
-		fmt.Printf("kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d crossover=%d\n",
-			par.Solves, par.Tiles, par.LocalTiles, par.Steals, par.AutoCrossover)
+		fmt.Printf("kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d\n",
+			par.Solves, par.Tiles, par.LocalTiles, par.Steals)
 		reg.DumpText(os.Stdout)
 	}
 }
@@ -392,5 +388,5 @@ func writeFile(dir, name, content string) error {
 	if dir == "" {
 		return nil
 	}
-	return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
+	return atomicfile.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
 }

@@ -29,10 +29,11 @@
 //	-trace           print the event log (single replication only)
 //	-json            emit the report as JSON
 //	-solve-workers k DP worker team for the initial solve: 1 serial
-//	                 (default), 0 auto (engages above the crossover
-//	                 length on multi-core hosts), k>1 pins the team
-//	                 width; never changes the schedule, only the solve
-//	                 wall clock
+//	                 (default), 0 auto (a team only when GOMAXPROCS > 1
+//	                 and the chain has at least 192 tasks), k>1 pins
+//	                 the team width; negative values are rejected.
+//	                 Never changes the schedule, only the solve wall
+//	                 clock
 //	-stats           print a one-shot metrics summary to stderr at exit:
 //	                 solve latency plus task, verification,
 //	                 checkpoint-commit and fsync quantiles from the
@@ -57,6 +58,7 @@ import (
 	"time"
 
 	"chainckpt"
+	"chainckpt/internal/core"
 	"chainckpt/internal/stats"
 )
 
@@ -109,8 +111,9 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit JSON")
 	statsDump := flag.Bool("stats", false,
 		"print a one-shot metrics summary (solve, task, checkpoint-commit and fsync quantiles) to stderr at exit")
-	solveWorkers := flag.Int("solve-workers", 1,
-		"DP worker team for the initial solve (1 = serial, 0 = auto above the crossover, k>1 = pinned width)")
+	solveWorkers := core.SolveWorkersFlag(1)
+	flag.Var(&solveWorkers, "solve-workers",
+		"DP worker team for the initial solve (1 = serial, 0 = auto: a team only when GOMAXPROCS > 1 and n >= 192, k>1 = pinned width)")
 	flag.Parse()
 
 	cfg, err := compile(*platName, *patName, *n, *total, *weights, *algName, *runner,
@@ -119,7 +122,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.stats = *statsDump
-	cfg.solveWorkers = *solveWorkers
+	cfg.solveWorkers = int(solveWorkers)
 	if err := run(cfg, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func run(cfg *config, w *os.File) error {
 		// admission outcomes, tuning events — so a one-shot run shows
 		// the same picture as the server. The controller gates each
 		// replication, the tracker reads the solve histogram, and a
-		// final tuner cycle records the engine's regime at exit.
+		// final tuner cycle records the engine's solve sizes at exit.
 		opsM := chainckpt.NewOpsMetrics(reg)
 		admission = chainckpt.NewAdmissionController(chainckpt.AdmissionConfig{}, opsM)
 		tracker := chainckpt.NewSLOTracker(chainckpt.SLOTrackerConfig{}, opsM, chainckpt.SLO{
@@ -245,12 +248,8 @@ func run(cfg *config, w *os.File) error {
 			// both so the counters reflect every team dispatch.
 			kp := chainckpt.DefaultKernel().Stats().Parallel
 			ep := chainckpt.DefaultEngine().Stats().Kernel.Parallel
-			cross := kp.AutoCrossover
-			if ep.AutoCrossover > cross {
-				cross = ep.AutoCrossover
-			}
-			fmt.Fprintf(os.Stderr, "kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d crossover=%d\n",
-				kp.Solves+ep.Solves, kp.Tiles+ep.Tiles, kp.LocalTiles+ep.LocalTiles, kp.Steals+ep.Steals, cross)
+			fmt.Fprintf(os.Stderr, "kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d\n",
+				kp.Solves+ep.Solves, kp.Tiles+ep.Tiles, kp.LocalTiles+ep.LocalTiles, kp.Steals+ep.Steals)
 			reg.DumpText(os.Stderr)
 		}()
 	}

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"chainckpt/internal/atomicfile"
 	"chainckpt/internal/chain"
 	"chainckpt/internal/engine"
 	"chainckpt/internal/jobstore"
@@ -706,10 +707,12 @@ func (s *server) launch(j *job, runJob runtime.Job, adaptive bool) {
 			if ferr == nil {
 				data, ferr = recording.Canonical()
 			}
-			j.sealRecording(data, ferr)
+			// Publish the file before sealing: a client released by
+			// the seal (GET /trace) may read the mirror at once.
 			if ferr == nil {
 				s.writeRecording(j.snapshot().ID, data)
 			}
+			j.sealRecording(data, ferr)
 		}
 		// finish classifies a cancel as "cancelled", which is not a
 		// failure: only genuine failures feed the error-rate metric.
@@ -719,13 +722,13 @@ func (s *server) launch(j *job, runJob runtime.Job, adaptive bool) {
 	}()
 }
 
-// writeRecording persists one sealed recording under the record
-// directory, when configured.
+// writeRecording persists one finished recording under the record
+// directory, when configured. The file appears whole or not at all.
 func (s *server) writeRecording(id string, data []byte) {
 	if s.recordDir == "" {
 		return
 	}
-	if err := os.WriteFile(filepath.Join(s.recordDir, id+".json"), data, 0o644); err != nil {
+	if err := atomicfile.WriteFile(filepath.Join(s.recordDir, id+".json"), data, 0o644); err != nil {
 		s.jobs.storeErrors.Add(1)
 	}
 }

@@ -9,12 +9,13 @@
 //
 //	-addr host:port   listen address (default :8080)
 //	-workers k        planning worker pool size (default GOMAXPROCS)
-//	-solve-workers k  DP worker team per solve: 1 serial (default; the
-//	                  pool is the parallelism), 0 auto (each solve
-//	                  engages a team above the crossover length on
-//	                  multi-core hosts), k>1 pins the width. Shards
-//	                  share one CPU budget: size workers×solve-workers
-//	                  to the core count. Never changes any plan.
+//	-solve-workers k  DP worker team per solve, fixed at start: 1 serial
+//	                  (default; the pool is the parallelism), 0 auto (a
+//	                  team only when GOMAXPROCS > 1 and the chain has at
+//	                  least 192 tasks), k>1 pins the width; negative
+//	                  values are rejected. Shards share one CPU budget:
+//	                  size workers×solve-workers to the core count.
+//	                  Never changes any plan.
 //	-cache k          plan memo capacity in entries (default 4096, 0 disables)
 //	-shards k         engine shards (default $CHAINSERVE_SHARDS, else the
 //	                  smaller of GOMAXPROCS and the worker count; an
@@ -53,9 +54,10 @@
 //	                  (jobs) is shed first (default 10; 0 disables)
 //	-slo-sample d     SLO sampling / shed-coupling cadence (default 10s)
 //	-selftune-interval d  periodic self-tune cadence: every d the tuner
-//	                  calls Engine.Tune and retargets solve parallelism
-//	                  from the live size histogram (default 0 = off;
-//	                  POST /v1/admin/tune always forces a cycle)
+//	                  calls Engine.Tune (exact scratch pools for the hot
+//	                  sizes) and, with -admit-max, moves the admission
+//	                  bound (default 0 = off; POST /v1/admin/tune always
+//	                  forces a cycle)
 //
 // Endpoints:
 //
@@ -88,8 +90,8 @@
 //	GET  /debug/traces/{id}  one trace (request or job), as a span tree
 //	GET  /v1/admin/slo       SLO tracker view: burn rates, bad fractions,
 //	                         window quantiles, shedding state
-//	GET  /v1/admin/tune      self-tuner decision history and the current
-//	                         solve-worker target
+//	GET  /v1/admin/tune      self-tuner cycle history and the current
+//	                         admission bound
 //	POST /v1/admin/tune      force one self-tune cycle now; returns the
 //	                         recorded tuning event
 //
@@ -139,8 +141,9 @@ func main() {
 
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "planning worker pool size (0 = GOMAXPROCS)")
-	solveWorkers := flag.Int("solve-workers", 1,
-		"DP worker team per solve (1 = serial, 0 = auto above the crossover, k>1 = pinned width)")
+	solveWorkers := core.SolveWorkersFlag(1)
+	flag.Var(&solveWorkers, "solve-workers",
+		"DP worker team per solve (1 = serial, 0 = auto: a team only when GOMAXPROCS > 1 and n >= 192, k>1 = pinned width)")
 	cacheSize := flag.Int("cache", 4096, "plan memo capacity in entries (0 disables the memo)")
 	shards := flag.Int("shards", defaultShards(os.Getenv),
 		"engine shards, rounded up to a power of two (0 = min of cores and workers)")
@@ -160,8 +163,6 @@ func main() {
 		"lower bound of the adaptive admission band (used with -admit-max)")
 	admitMax := flag.Int("admit-max", 0,
 		"upper bound of the adaptive admission band; >0 lets tuner cycles move the admission slot count between -admit-min and -admit-max from the shard queue-wait histograms (0 keeps -admit-concurrent fixed)")
-	solveCrossover := flag.Int("solve-crossover", 0,
-		"auto-mode parallel-solve crossover window length (0 = built-in default; also the tuner's large-solve boundary)")
 	sloLatency := flag.Float64("slo-latency", opsDefaults.SLOThreshold,
 		"interactive latency SLO threshold in seconds")
 	sloObjective := flag.Float64("slo-objective", opsDefaults.SLOObjective,
@@ -189,18 +190,11 @@ func main() {
 		defer journal.Close()
 		store = journal
 	}
-	// CLI semantics (1 serial, 0 auto) map onto engine.Options, where
-	// zero is the compat serial default and negative selects auto.
-	engineSolveWorkers := *solveWorkers
-	if engineSolveWorkers == 0 {
-		engineSolveWorkers = -1
-	}
 	opsCfg := opsDefaults
 	opsCfg.AdmitConcurrent = *admitConcurrent
 	opsCfg.AdmitQueue = *admitQueue
 	opsCfg.AdmitMin = *admitMin
 	opsCfg.AdmitMax = *admitMax
-	opsCfg.SolveCrossover = *solveCrossover
 	opsCfg.SLOThreshold = *sloLatency
 	opsCfg.SLOObjective = *sloObjective
 	opsCfg.BurnShed = *burnShed
@@ -208,7 +202,7 @@ func main() {
 	opsCfg.SelfTune = *selftuneInterval
 	srv := newServerWithOps(engine.New(engine.Options{
 		Workers: *workers, CacheSize: memo, Shards: *shards,
-		SolveWorkers: engineSolveWorkers, Metrics: plane.engine,
+		SolveWorkers: int(solveWorkers), Metrics: plane.engine,
 	}), store, *storeDir, plane, opsCfg)
 	defer srv.eng.Close()
 	srv.startOps()
@@ -250,7 +244,7 @@ func main() {
 	}()
 
 	log.Printf("listening on %s (workers=%d, solve-workers=%d, cache=%d, shards=%d, drain=%s)",
-		*addr, *workers, *solveWorkers, *cacheSize, len(srv.eng.Stats().Shards), *drain)
+		*addr, *workers, solveWorkers, *cacheSize, len(srv.eng.Stats().Shards), *drain)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -242,8 +242,8 @@ func (s *server) initObs() {
 
 	// The in-kernel parallel solve (core.KernelParallelStats): how many
 	// solves engaged a worker team, the tile traffic and helper busy
-	// time behind them, and how often auto mode declined below the
-	// crossover length.
+	// time behind them, and how often auto mode stayed serial (below
+	// the fixed 192-task crossover, or on one core).
 	counterFn("chainckpt_kernel_parallel_solves_total",
 		"Solves that engaged a worker team (SolveWorkers > 1, explicit or auto).",
 		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.Solves })
@@ -265,14 +265,11 @@ func (s *server) initObs() {
 		"Steal events in solver worker teams: half-span grabs plus leftover-tile claims by idle participants.",
 		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.Steals })
 	counterFn("chainckpt_kernel_parallel_crossover_skips_total",
-		"Auto-mode solves that stayed serial below the crossover window length.",
+		"Auto-mode solves that stayed serial (window below 192 tasks, or GOMAXPROCS 1).",
 		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.CrossoverSkips })
 	gaugeFn("chainckpt_kernel_parallel_workers",
 		"Live solver team helpers (idle helpers retire after a minute).",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.eng.Kernel.Parallel.Workers) })
-	gaugeFn("chainckpt_kernel_auto_crossover",
-		"Live auto-mode engagement threshold (window length); the built-in default unless retargeted.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.eng.Kernel.Parallel.AutoCrossover) })
 
 	// Jobs and the supervisor.
 	counterFn("chainserve_jobs_total",

@@ -23,7 +23,7 @@ import (
 func newInstrumentedServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	plane := newObsPlane()
-	eng := engine.New(engine.Options{Workers: 2, Metrics: plane.engine})
+	eng := engine.New(engine.Options{Workers: 2, SolveWorkers: 1, Metrics: plane.engine})
 	t.Cleanup(eng.Close)
 	srv := newServerWithObs(eng, jobstore.NewMemory(), "", plane)
 	ts := httptest.NewServer(srv.mux())
@@ -203,7 +203,8 @@ func TestDebugTraceEndpoints(t *testing.T) {
 		t.Fatalf("request trace has no engine.plan child: %+v", td.Root)
 	}
 	// The solve itself is a child of the plan span, annotated with the
-	// team width the kernel ran at (serial here: the engine default).
+	// team width the kernel ran at (serial here: chainserve's default
+	// -solve-workers 1).
 	var solve *obs.SpanDump
 	for _, c := range plan.Children {
 		if c.Name == "kernel.solve" {

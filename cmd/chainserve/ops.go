@@ -4,9 +4,9 @@
 // honoring X-Deadline-Ms), the SLO tracker computes multi-window burn
 // rates from the same route histograms /metrics exports, burn-coupled
 // load-shedding drops batch work first when the fast window burns hot,
-// and the self-tuner periodically retargets the engine from the live
-// solve-size histogram. Admin views: GET /v1/admin/slo, GET+POST
-// /v1/admin/tune.
+// and the self-tuner periodically retunes the engine's scratch pools
+// (and, with -admit-max, the admission bound). Admin views: GET
+// /v1/admin/slo, GET+POST /v1/admin/tune.
 package main
 
 import (
@@ -48,18 +48,6 @@ type opsConfig struct {
 	// SelfTune is the periodic self-tune cadence (0 disables the loop;
 	// POST /v1/admin/tune still forces cycles).
 	SelfTune time.Duration
-	// TuneLargeN overrides the tuner's large-solve boundary (0 keeps
-	// the solver's crossover default of 192). Tests lower it so the
-	// regime switch is reachable with affordable window lengths.
-	TuneLargeN int
-	// TuneMinSamples overrides the solves a cycle must observe before
-	// its regime decision is trusted (0 keeps the tuner default).
-	TuneMinSamples uint64
-	// SolveCrossover retargets the solver's auto-engage window length
-	// on every shard kernel (0 keeps the built-in default); it also
-	// becomes the tuner's large-solve boundary unless TuneLargeN pins
-	// one explicitly.
-	SolveCrossover int
 }
 
 func defaultOpsConfig() opsConfig {
@@ -120,13 +108,10 @@ func (s *server) initOps(cfg opsConfig) {
 		return ops.MergeSnapshots(snaps...)
 	}
 	s.tuner = ops.NewTuner(ops.TunerConfig{
-		LargeN:     cfg.TuneLargeN,
-		MinSamples: cfg.TuneMinSamples,
-		Crossover:  cfg.SolveCrossover,
-		Admission:  s.admission,
-		QueueWait:  queueWait,
-		AdmitMin:   cfg.AdmitMin,
-		AdmitMax:   cfg.AdmitMax,
+		Admission: s.admission,
+		QueueWait: queueWait,
+		AdmitMin:  cfg.AdmitMin,
+		AdmitMax:  cfg.AdmitMax,
 		Sizes: func() []ops.SizeCount {
 			sizes := s.eng.Stats().Kernel.Sizes
 			out := make([]ops.SizeCount, len(sizes))
@@ -251,15 +236,12 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTuneGet serves the tuner's decision history and the engine's
-// current solve-worker target.
+// handleTuneGet serves the tuner's cycle history and the live
+// admission bound.
 func (s *server) handleTuneGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"solve_workers":  s.eng.SolveWorkers(),
-		"bucket_workers": s.eng.BucketSolveWorkers(),
-		"auto_crossover": s.eng.AutoCrossover(),
-		"admit_limit":    s.admission.MaxConcurrent(),
-		"events":         s.tuner.History(),
+		"admit_limit": s.admission.MaxConcurrent(),
+		"events":      s.tuner.History(),
 	})
 }
 

@@ -219,34 +219,35 @@ func TestDeadlineHeaderHonored(t *testing.T) {
 }
 
 // TestForcedTuneCycleChangesConfigKeepsPlanBytes is the second
-// acceptance leg: a forced self-tune cycle against a large-solve
-// workload demonstrably retargets the engine's solve parallelism and
-// records a tuning event — and the plan bytes for the same request are
-// identical before and after.
+// acceptance leg: a forced self-tune cycle installs an exact-capacity
+// scratch pool for the workload's hot size and records a tuning event —
+// and the plan bytes for the same request are identical before and
+// after.
 func TestForcedTuneCycleChangesConfigKeepsPlanBytes(t *testing.T) {
-	cfg := defaultOpsConfig()
-	// A lowered large-solve boundary keeps the regime switch reachable
-	// with affordable window lengths (a real n>=192 solve runs minutes);
-	// cache disabled so the post-tune request genuinely re-solves under
-	// the new worker configuration.
-	cfg.TuneLargeN = 32
-	cfg.TuneMinSamples = 3
-	srv, ts := newOpsTestServer(t, engine.Options{Workers: 2, CacheSize: -1}, cfg)
+	// Cache disabled so the post-tune request genuinely re-solves on
+	// the retuned scratch pools.
+	srv, ts := newOpsTestServer(t, engine.Options{Workers: 2, CacheSize: -1}, defaultOpsConfig())
 
-	// A large-regime workload: distinct solves at n=48 >= the test
-	// boundary of 32 clear the tuner's MinSamples with LargeShare 1.0.
-	large := func(total int) string {
+	plan := func(total int) string {
 		return fmt.Sprintf(`{"algorithm":"ADMV","platform":"Hera","pattern":"uniform","n":48,"total":%d}`, total)
 	}
 	for i := 0; i < 4; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/plan", large(20000+i))
+		resp, _ := postJSON(t, ts.URL+"/v1/plan", plan(20000+i))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warm-up plan status %d", resp.StatusCode)
 		}
 	}
-	_, before := postJSON(t, ts.URL+"/v1/plan", large(20000))
-	if srv.eng.SolveWorkers() != 1 {
-		t.Fatalf("pre-tune solve workers = %d, want 1 (serial default)", srv.eng.SolveWorkers())
+	_, before := postJSON(t, ts.URL+"/v1/plan", plan(20000))
+	hasExact48 := func() bool {
+		for _, b := range srv.eng.Stats().Kernel.Buckets {
+			if b.Cap == 48 {
+				return true
+			}
+		}
+		return false
+	}
+	if hasExact48() {
+		t.Fatal("exact n=48 pool installed before any tune cycle")
 	}
 
 	// Force a cycle through the admin endpoint.
@@ -258,32 +259,28 @@ func TestForcedTuneCycleChangesConfigKeepsPlanBytes(t *testing.T) {
 	if err := json.Unmarshal(evBody, &ev); err != nil {
 		t.Fatalf("tune event decode: %v (%s)", err, evBody)
 	}
-	if ev.Action != "retune" || ev.NewSolveWorkers != -1 {
-		t.Fatalf("forced cycle event = %+v, want retune to auto (-1)", ev)
+	if ev.Trigger != "forced" || ev.CycleSolves != 5 || len(ev.TopSizes) != 1 || ev.TopSizes[0].N != 48 {
+		t.Fatalf("forced cycle event = %+v, want forced with 5 solves at n=48", ev)
 	}
-	if ev.Trigger != "forced" {
-		t.Fatalf("trigger = %q, want forced", ev.Trigger)
-	}
-	if srv.eng.SolveWorkers() != -1 {
-		t.Fatalf("post-tune solve workers = %d, want -1", srv.eng.SolveWorkers())
+	if !hasExact48() {
+		t.Fatalf("forced cycle installed no exact n=48 pool: %+v", srv.eng.Stats().Kernel.Buckets)
 	}
 
-	// The decision is in the history and the counters.
+	// The cycle is in the history and the counters.
 	var hist struct {
-		SolveWorkers int               `json:"solve_workers"`
-		Events       []ops.TuningEvent `json:"events"`
+		Events []ops.TuningEvent `json:"events"`
 	}
 	getJSON(t, ts.URL+"/v1/admin/tune", &hist)
-	if hist.SolveWorkers != -1 || len(hist.Events) == 0 {
+	if len(hist.Events) != 1 || hist.Events[0].Trigger != "forced" {
 		t.Fatalf("tune history = %+v", hist)
 	}
 	if got := srv.opsMetrics.TunerCycles.With("forced").Value(); got != 1 {
 		t.Fatalf("chainckpt_tuner_cycles_total{forced} = %d, want 1", got)
 	}
 
-	// Determinism bar: the same request re-solved under the retuned
-	// configuration yields byte-identical plan JSON.
-	_, after := postJSON(t, ts.URL+"/v1/plan", large(20000))
+	// Determinism bar: the same request re-solved on the retuned pools
+	// yields byte-identical plan JSON.
+	_, after := postJSON(t, ts.URL+"/v1/plan", plan(20000))
 	if string(before) != string(after) {
 		t.Fatalf("plan bytes changed across self-tune:\nbefore: %s\nafter:  %s", before, after)
 	}
@@ -308,7 +305,7 @@ func TestAdmissionMetricsInScrape(t *testing.T) {
 		`chainckpt_slo_burn_rate{slo="interactive_latency",window="fast"}`,
 		`chainckpt_slo_objective{slo="interactive_latency"} 0.99`,
 		"chainckpt_slo_shedding 0",
-		"chainckpt_tuner_solve_workers",
+		"chainckpt_admission_concurrent_limit 64",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

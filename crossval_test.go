@@ -11,6 +11,7 @@ package chainckpt
 import (
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -285,16 +286,17 @@ func TestCrossValidationKernelEquivalence(t *testing.T) {
 
 // TestCrossValidationShardedEngineByteIdentical is the sharded-engine
 // property: routing requests across per-shard kernels, memos and worker
-// pools must be invisible in the results — every plan from a sharded
-// engine is byte-identical (same expected-makespan bits, same schedule
-// actions) to the plan from a one-shard engine, across randomized
-// chains, platforms, per-boundary costs, constraints and budgets, on
-// both cold solves and memo-served repeats.
+// pools, and solving them at any engine solve width, must be invisible
+// in the results — every plan from a sharded engine built with width 0
+// (auto), 1 (serial) or 2 (pinned team) is byte-identical (same
+// expected-makespan bits, same schedule actions) to the plan from a
+// serial one-shard engine, across randomized chains, platforms,
+// per-boundary costs, constraints and budgets, on both cold solves and
+// memo-served repeats. One n=192 chain sits at the auto crossover, so
+// width 0 engages a team on multi-core hosts.
 func TestCrossValidationShardedEngineByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
-	sharded := NewEngine(EngineOptions{Workers: 8, Shards: 8})
-	defer sharded.Close()
-	single := NewEngine(EngineOptions{Workers: 8, Shards: 1})
+	single := NewEngine(EngineOptions{Workers: 8, Shards: 1, SolveWorkers: 1})
 	defer single.Close()
 
 	var reqs []PlanRequest
@@ -337,51 +339,71 @@ func TestCrossValidationShardedEngineByteIdentical(t *testing.T) {
 			Opts:      opts,
 		})
 	}
+	big, err := RandomChain(rng, 192, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs = append(reqs, PlanRequest{Algorithm: ADV, Chain: big, Platform: randomPlatform(rng)})
+	want := single.PlanMany(t.Context(), reqs)
 
-	for pass := 0; pass < 2; pass++ { // pass 1 re-plans through the memos
-		a := sharded.PlanMany(t.Context(), reqs)
-		b := single.PlanMany(t.Context(), reqs)
-		for i := range reqs {
-			if a[i].Err != nil || b[i].Err != nil {
-				t.Fatalf("pass %d request %d: sharded err=%v single err=%v", pass, i, a[i].Err, b[i].Err)
-			}
-			if math.Float64bits(a[i].Result.ExpectedMakespan) != math.Float64bits(b[i].Result.ExpectedMakespan) {
-				t.Errorf("pass %d request %d: sharded %.17g vs single-shard %.17g",
-					pass, i, a[i].Result.ExpectedMakespan, b[i].Result.ExpectedMakespan)
-			}
-			if !a[i].Result.Schedule.Equal(b[i].Result.Schedule) {
-				t.Errorf("pass %d request %d: schedule mismatch across shard counts", pass, i)
+	for _, width := range []int{0, 1, 2} {
+		sharded := NewEngine(EngineOptions{Workers: 8, Shards: 8, SolveWorkers: width})
+		for pass := 0; pass < 2; pass++ { // pass 1 re-plans through the memos
+			got := sharded.PlanMany(t.Context(), reqs)
+			for i := range reqs {
+				if got[i].Err != nil || want[i].Err != nil {
+					t.Fatalf("width %d pass %d request %d: sharded err=%v single err=%v",
+						width, pass, i, got[i].Err, want[i].Err)
+				}
+				if math.Float64bits(got[i].Result.ExpectedMakespan) != math.Float64bits(want[i].Result.ExpectedMakespan) {
+					t.Errorf("width %d pass %d request %d: sharded %.17g vs single-shard %.17g",
+						width, pass, i, got[i].Result.ExpectedMakespan, want[i].Result.ExpectedMakespan)
+				}
+				if !got[i].Result.Schedule.Equal(want[i].Result.Schedule) {
+					t.Errorf("width %d pass %d request %d: schedule mismatch", width, pass, i)
+				}
 			}
 		}
-	}
-	st := sharded.Stats()
-	if st.CacheHits == 0 {
-		t.Error("second pass never hit the sharded memo")
-	}
-	touched := 0
-	for _, ss := range st.Shards {
-		if ss.Requests > 0 {
-			touched++
+		st := sharded.Stats()
+		sharded.Close()
+		if st.CacheHits == 0 {
+			t.Errorf("width %d: second pass never hit the sharded memo", width)
 		}
-	}
-	if touched < 2 {
-		t.Errorf("24 instances landed on %d shard(s); routing looks degenerate", touched)
+		touched := 0
+		for _, ss := range st.Shards {
+			if ss.Requests > 0 {
+				touched++
+			}
+		}
+		if touched < 2 {
+			t.Errorf("width %d: %d instances landed on %d shard(s); routing looks degenerate",
+				width, len(reqs), touched)
+		}
+		// Auto engages only on the n=192 chain, and only with a second
+		// core; a pinned width engages on every solve.
+		engaged := st.Kernel.Parallel.Solves > 0
+		if width == 2 && !engaged {
+			t.Error("width 2 never engaged a solve team")
+		}
+		if width == 0 && engaged != (goruntime.GOMAXPROCS(0) > 1) {
+			t.Errorf("width 0 with GOMAXPROCS %d: team engaged = %v", goruntime.GOMAXPROCS(0), engaged)
+		}
 	}
 }
 
 // TestCrossValidationOpsPlaneDeterminism is the ops-plane determinism
-// bar: the self-tuner and the solve-worker knob are pure performance
-// controls, so plans produced while a background churner flips the DP
-// team width, retunes scratch pools and runs tuner cycles must be
-// byte-identical (same expected-makespan bits, same schedule actions)
-// to plans from an untouched engine. The churned engine runs without a
-// memo so every pass re-solves under whatever worker config the churner
-// last installed.
+// bar: the self-tuner is a pure performance control, so plans produced
+// while a background churner retunes scratch pools and runs tuner
+// cycles must be byte-identical (same expected-makespan bits, same
+// schedule actions) to plans from an untouched serial engine. The
+// churned engine solves every request on a width-2 team, so pool swaps
+// race team solves, and runs without a memo so every pass re-solves on
+// whatever pools the churner last installed.
 func TestCrossValidationOpsPlaneDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	churned := NewEngine(EngineOptions{Workers: 4, Shards: 4, CacheSize: -1})
+	churned := NewEngine(EngineOptions{Workers: 4, Shards: 4, CacheSize: -1, SolveWorkers: 2})
 	defer churned.Close()
-	baseline := NewEngine(EngineOptions{Workers: 4, Shards: 4})
+	baseline := NewEngine(EngineOptions{Workers: 4, Shards: 4, SolveWorkers: 1})
 	defer baseline.Close()
 
 	var reqs []PlanRequest
@@ -400,12 +422,8 @@ func TestCrossValidationOpsPlaneDeterminism(t *testing.T) {
 	want := baseline.PlanMany(t.Context(), reqs)
 
 	// The churner exercises every actuation path the ops plane owns:
-	// direct retargeting, per-size-bucket width overrides, auto
-	// crossover retargeting, scratch-pool retuning, and full tuner
-	// cycles (LargeN 4 with small-chain traffic keeps the regime
-	// decision flapping between serial and auto; Hysteresis 1 lets the
-	// tuner's per-bucket loop land overrides every cycle too).
-	tu := NewTuner(TunerConfig{LargeN: 4, MinSamples: 1, Hysteresis: 1,
+	// direct scratch-pool retuning and full tuner cycles.
+	tu := NewTuner(TunerConfig{
 		Sizes: func() []SizeCount {
 			sizes := churned.Stats().Kernel.Sizes
 			out := make([]SizeCount, len(sizes))
@@ -420,23 +438,12 @@ func TestCrossValidationOpsPlaneDeterminism(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		targets := []int{1, -1, 2, 4}
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			churned.SetSolveWorkers(targets[i%len(targets)])
-			// Flip a width override on the bucket the 4..11-task chains
-			// live in (and clear it every fourth step), and wobble the
-			// auto crossover — both pure performance knobs.
-			churned.SetBucketSolveWorkers(8, targets[(i+1)%len(targets)])
-			if i%4 == 3 {
-				churned.SetBucketSolveWorkers(8, 0)
-				churned.SetBucketSolveWorkers(16, targets[i%len(targets)])
-			}
-			churned.SetAutoCrossover(4 + i%3)
 			churned.Tune()
 			tu.RunCycle("periodic")
 			time.Sleep(200 * time.Microsecond)

@@ -131,14 +131,15 @@ type Options struct {
 	MaxDiskCheckpoints int
 	// SolveWorkers sets the worker team one solve may tile its dynamic
 	// program across (see internal/core/parallel.go). 1 is the fully
-	// serial path, which is what batch schedulers such as
-	// internal/engine want when they already parallelize across
-	// instances. Zero — the default — is GOMAXPROCS-aware auto: the
-	// team engages only above a crossover window length where the
-	// dispatch overhead amortizes (solves below it are counted as
-	// crossover skips in KernelStats.Parallel). Larger values pin the
-	// team width. SolveWorkers never changes the result, only the wall
-	// clock: parallel solves are byte-identical to serial ones.
+	// serial path, which is what batch schedulers that already
+	// parallelize across instances want. Zero — the default — is
+	// GOMAXPROCS-aware auto: a team engages only when GOMAXPROCS > 1
+	// and the window has at least 192 tasks, where the dispatch
+	// overhead amortizes (auto solves that stay serial are counted as
+	// crossover skips in KernelStats.Parallel). k >= 2 pins the team
+	// width; negative values are rejected (CheckSolveWorkers).
+	// SolveWorkers never changes the result, only the wall clock:
+	// parallel solves are byte-identical to serial ones.
 	SolveWorkers int
 }
 

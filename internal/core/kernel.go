@@ -250,9 +250,6 @@ type KernelParallelStats struct {
 	// Workers is the current number of live helper goroutines (a gauge:
 	// idle helpers retire after a timeout).
 	Workers int `json:"workers"`
-	// AutoCrossover is the live auto-mode engagement threshold (window
-	// length); the default constant unless a tuner has retargeted it.
-	AutoCrossover int `json:"auto_crossover"`
 }
 
 // KernelSizeStats is one exact window length's solve count.
@@ -305,33 +302,6 @@ func bucketIndex(n int) int {
 	}
 	return bits.Len(uint(n - 1))
 }
-
-// BucketCap returns the scratch-pool capacity class an n-task window
-// falls in (the smallest power of two >= max(n, 8)). It is the bucket
-// key shared by the size histogram, the per-bucket SolveWorkers table
-// in internal/engine, and the tuner's per-regime width decisions — all
-// three must agree on what "a size bucket" means.
-func BucketCap(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return 1 << bucketIndex(n)
-}
-
-// SetAutoCrossover retargets the window length where auto-mode
-// parallelism (SolveWorkers: 0) engages the team; n <= 0 restores the
-// built-in default. The ops tuner uses this to turn the crossover from
-// a compile-time constant into a measured threshold. Crossover choice
-// is pure scheduling — plan bytes are identical at every width.
-func (k *Kernel) SetAutoCrossover(n int) {
-	if n < 0 {
-		n = 0
-	}
-	k.team.crossover.Store(int64(n))
-}
-
-// AutoCrossover reports the live auto-mode engagement threshold.
-func (k *Kernel) AutoCrossover() int { return k.team.autoCrossover() }
 
 // bucketFor returns the pool serving an n-task window and the capacity
 // its arenas are built with: the exact-capacity pool when Tune has
@@ -463,7 +433,6 @@ func (k *Kernel) Stats() KernelStats {
 			BusySeconds:    float64(k.team.busyNs.Load()) / 1e9,
 			CrossoverSkips: k.team.skips.Load(),
 			Workers:        k.team.liveWorkers(),
-			AutoCrossover:  k.team.autoCrossover(),
 		},
 	}
 	for i := range k.buckets {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,15 +38,13 @@ import (
 // is invisible in the output: a parallel solve is byte-identical to the
 // serial one for any worker count and any steal interleaving.
 const (
-	// defaultAutoCrossover is the window length where SolveWorkers: 0
-	// (auto) starts engaging the team. Below it a serial ADV solve is
-	// ~1 ms and the dispatch + handoff overhead (~10 µs plus a cold
-	// helper wake-up) can eat the gain; above it every phase has
-	// thousands of table rows per tile and the team wins on any
-	// multi-core machine (see BenchmarkKernelParallelSolve). The live
-	// threshold is an atomic the tuner may retarget from the measured
-	// size histogram (Kernel.SetAutoCrossover).
-	defaultAutoCrossover = 192
+	// autoCrossover is the window length where SolveWorkers: 0 (auto)
+	// starts engaging the team. Below it a serial ADV solve is ~1 ms
+	// and the dispatch + handoff overhead (~10 µs plus a cold helper
+	// wake-up) can eat the gain; above it every phase has thousands of
+	// table rows per tile and the team wins on any multi-core machine
+	// (see BenchmarkKernelParallelSolve).
+	autoCrossover = 192
 	// maxAutoWorkers caps the auto team: memory-level tiles each draw a
 	// (n+1)^2 memScratch arena, so very wide teams trade cache locality
 	// and memory for little extra speedup on the triangular phases.
@@ -71,11 +70,6 @@ type solveTeam struct {
 	mu      sync.Mutex
 	jobs    chan *stealJob
 	workers int // live helper goroutines
-
-	// crossover overrides defaultAutoCrossover when positive; the ops
-	// tuner retargets it from the live size histogram so "big enough to
-	// parallelize" tracks the observed workload instead of a constant.
-	crossover atomic.Int64
 
 	// Counters behind KernelStats.Parallel (core stays free of any obs
 	// dependency: the observability plane projects these from outside).
@@ -223,24 +217,46 @@ func (j *stealJob) drain(t *solveTeam) {
 	t.steals.Add(stolen)
 }
 
-// autoCrossover is the live auto-engage threshold: the tuner's override
-// when set, defaultAutoCrossover otherwise.
-func (t *solveTeam) autoCrossover() int {
-	if c := t.crossover.Load(); c > 0 {
-		return int(c)
+// CheckSolveWorkers reports whether n is a valid Options.SolveWorkers
+// value. The convention every layer shares: 0 is auto, 1 is serial,
+// k >= 2 pins a team of k, and negative widths are rejected with this
+// error.
+func CheckSolveWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("core: SolveWorkers must be non-negative, got %d", n)
 	}
-	return defaultAutoCrossover
+	return nil
+}
+
+// SolveWorkersFlag is the flag.Value of a -solve-workers command-line
+// flag: an Options.SolveWorkers value passed through as given, with
+// negative widths rejected at parse by CheckSolveWorkers.
+type SolveWorkersFlag int
+
+func (f *SolveWorkersFlag) String() string { return strconv.Itoa(int(*f)) }
+
+func (f *SolveWorkersFlag) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err
+	}
+	if err := CheckSolveWorkers(int(n)); err != nil {
+		return err
+	}
+	*f = SolveWorkersFlag(n)
+	return nil
 }
 
 // resolveSolveWorkers maps an Options.SolveWorkers request to the
 // worker count one solve of an n-task window will use. Zero is the
-// GOMAXPROCS-aware auto mode: it only engages above the crossover
-// window length (small solves lose more to dispatch than they gain) and
-// records declined engagements as crossover skips.
+// GOMAXPROCS-aware auto mode: it only engages at or above the
+// crossover window length (small solves lose more to dispatch than
+// they gain) and records declined engagements as crossover skips.
 func (t *solveTeam) resolveSolveWorkers(requested, n int) (int, error) {
+	if err := CheckSolveWorkers(requested); err != nil {
+		return 0, err
+	}
 	switch {
-	case requested < 0:
-		return 0, fmt.Errorf("core: SolveWorkers must be non-negative, got %d", requested)
 	case requested == 1:
 		return 1, nil
 	case requested > 1:
@@ -250,7 +266,7 @@ func (t *solveTeam) resolveSolveWorkers(requested, n int) (int, error) {
 	}
 	// Auto: engage only when the window is big enough to amortize the
 	// team and the machine has more than one core to offer.
-	if w := min(runtime.GOMAXPROCS(0), maxAutoWorkers); w > 1 && n >= t.autoCrossover() {
+	if w := min(runtime.GOMAXPROCS(0), maxAutoWorkers); w > 1 && n >= autoCrossover {
 		t.noteWidth(w)
 		return w, nil
 	}

@@ -19,14 +19,18 @@
 // (the cross-validation suite enforces this). BenchmarkEngineContention
 // measures the difference under parallel PlanMany load.
 //
-// Each planning job runs the dynamic program serially by default (core
-// Options.SolveWorkers = 1 unless the request or Options.SolveWorkers
-// says otherwise): with many instances in flight, instance-level
-// parallelism keeps every core busy without intra-solve dispatch, which
-// is what makes a sweep through the engine beat the loop-over-core.Plan
-// seed path (see BenchmarkEngineSweep). For mega-chain traffic the
-// balance flips — one huge solve dominates wall clock — and
-// Options.SolveWorkers hands those solves the kernel's worker team.
+// Options.SolveWorkers fixes, at construction, the solve width stamped
+// on every request that leaves its own Opts.SolveWorkers at 0. It uses
+// core's one convention: 0 is auto (a team only when GOMAXPROCS > 1 and
+// the chain has at least 192 tasks), 1 is serial, k >= 2 pins a team of
+// k, and negative widths are rejected. With many instances in flight,
+// serial solves (1, what Default uses) let instance-level parallelism
+// keep every core busy without intra-solve dispatch, which is what
+// makes a sweep through the engine beat the loop-over-core.Plan seed
+// path (see BenchmarkEngineSweep). For mega-chain traffic the balance
+// flips — one huge solve dominates wall clock — and auto or a pinned
+// width hands those solves the kernel's worker team. Width never
+// changes a plan, only how fast it is found.
 //
 // The Engine also exposes Run, a generic bounded fan-out over the shard
 // pools, so batch pipelines that interleave planning with evaluation or
@@ -85,17 +89,15 @@ type Options struct {
 	// work-stealing counters (see NewMetrics). Nil means uninstrumented
 	// — every site degrades to a nil check.
 	Metrics *Metrics
-	// SolveWorkers is the per-solve DP parallelism applied to requests
-	// that do not pin their own (Request.Opts.SolveWorkers == 0). Zero
-	// keeps every solve serial — the engine's default, since its worker
-	// pool already provides instance-level parallelism. A positive value
-	// gives each cache-miss solve a worker team of that width (the
+	// SolveWorkers is the per-solve DP width stamped on requests that
+	// do not pin their own (Request.Opts.SolveWorkers == 0), in core's
+	// convention: 0 auto (a team only when GOMAXPROCS > 1 and n >= 192 —
+	// the right setting when occasional mega-chains share the engine
+	// with small interactive traffic), 1 serial (the pool already
+	// provides instance-level parallelism), k >= 2 a team of k. The
 	// shards share one budget: each shard's kernel team is drawn from
 	// the same machine, so size Workers × SolveWorkers to the core
-	// count, not each to it). A negative value selects the solver's
-	// GOMAXPROCS-aware auto mode, which engages only above the
-	// crossover window length — the right setting when occasional
-	// mega-chains share the engine with small interactive traffic.
+	// count, not each to it. New panics on a negative value.
 	SolveWorkers int
 }
 
@@ -128,8 +130,7 @@ type Request struct {
 	Platform platform.Platform
 	// Opts are the optional planning inputs (costs, constraints, disk
 	// budget, solver parallelism). Opts.SolveWorkers zero defers to the
-	// engine's Options.SolveWorkers (itself defaulting to serial
-	// solves on the engine's own pool).
+	// engine's Options.SolveWorkers.
 	Opts core.Options
 	// Tag is an opaque label echoed in the Response.
 	Tag string
@@ -235,14 +236,6 @@ type Engine struct {
 	mask   uint64
 	shared *core.Kernel // non-nil when Options.Kernel was injected
 
-	// bucketWidths overrides the global per-solve width for individual
-	// size buckets (core.BucketCap classes). Copy-on-write map shared by
-	// every shard: readers Load once per solve, writers clone under mu.
-	// Values use the stamped core convention (0 auto, 1 serial, >1
-	// pinned); a bucket with no entry falls through to the shard's
-	// global solveWorkers.
-	bucketWidths atomic.Pointer[map[int]int64]
-
 	mu     sync.Mutex
 	closed bool
 
@@ -254,8 +247,12 @@ type Engine struct {
 }
 
 // New starts an engine with opts.Shards shards sharing opts.Workers
-// pool goroutines. Callers must Close it to release them.
+// pool goroutines. Callers must Close it to release them. It panics
+// when opts.SolveWorkers is negative (see core.CheckSolveWorkers).
 func New(opts Options) *Engine {
+	if err := core.CheckSolveWorkers(opts.SolveWorkers); err != nil {
+		panic(err)
+	}
 	opts = opts.normalized()
 	e := &Engine{
 		opts:   opts,
@@ -265,16 +262,6 @@ func New(opts Options) *Engine {
 	perCache := opts.CacheSize
 	if perCache > 0 {
 		perCache = (opts.CacheSize + opts.Shards - 1) / opts.Shards
-	}
-	// Map the engine-level solve parallelism to the core option each
-	// shard stamps on requests that left it unset: 0 (engine default)
-	// pins the serial path, negative selects the solver's auto mode
-	// (core's zero value).
-	solveWorkers := 1
-	if opts.SolveWorkers > 0 {
-		solveWorkers = opts.SolveWorkers
-	} else if opts.SolveWorkers < 0 {
-		solveWorkers = 0
 	}
 	for i := 0; i < opts.Shards; i++ {
 		kern := opts.Kernel
@@ -288,9 +275,7 @@ func New(opts Options) *Engine {
 		if workers < 1 {
 			workers = 1
 		}
-		sh := newShard(i, kern, perCache, workers, solveWorkers, opts.Metrics)
-		sh.bucketWidths = &e.bucketWidths
-		e.shards = append(e.shards, sh)
+		e.shards = append(e.shards, newShard(i, kern, perCache, workers, opts.SolveWorkers, opts.Metrics))
 	}
 	return e
 }
@@ -524,111 +509,6 @@ func (e *Engine) Tune() {
 	}
 }
 
-// SolveWorkers reports the per-solve parallelism currently stamped on
-// requests that leave Opts.SolveWorkers unset, in the engine-level
-// convention: 1 serial, 0/negative auto, >1 pinned team width.
-func (e *Engine) SolveWorkers() int {
-	if len(e.shards) == 0 {
-		return 1
-	}
-	n := int(e.shards[0].solveWorkers.Load())
-	if n == 0 {
-		return -1 // core auto mode, reported in Options convention
-	}
-	return n
-}
-
-// SetSolveWorkers retargets the per-solve parallelism on a live
-// engine, using the same convention as Options.SolveWorkers: 0 (or 1)
-// pins the serial path, negative selects the solver's crossover-gated
-// auto mode, larger values pin a team of that width. This only changes
-// how fast a solve runs — the DP recurrence and the resulting plan
-// bytes are identical for every setting — so the ops-plane self-tuner
-// may call it at any time without a determinism risk. Requests that
-// set their own Opts.SolveWorkers are unaffected.
-func (e *Engine) SetSolveWorkers(n int) {
-	stamped := int64(1)
-	if n > 0 {
-		stamped = int64(n)
-	} else if n < 0 {
-		stamped = 0 // core's zero value = auto
-	}
-	for _, s := range e.shards {
-		s.solveWorkers.Store(stamped)
-	}
-}
-
-// SetBucketSolveWorkers pins the per-solve parallelism for the size
-// bucket containing window length n (core.BucketCap classes), using the
-// engine convention: 1 pins serial, negative selects auto, larger
-// values pin a team of that width, and 0 clears the override so the
-// bucket falls back to the global SetSolveWorkers width. The ops-plane
-// tuner uses this to give each workload regime its own width; like the
-// global knob it is pure scheduling and never changes plan bytes.
-func (e *Engine) SetBucketSolveWorkers(n, workers int) {
-	cap := core.BucketCap(n)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	next := make(map[int]int64)
-	if old := e.bucketWidths.Load(); old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	if workers == 0 {
-		delete(next, cap)
-	} else {
-		stamped := int64(1)
-		if workers > 1 {
-			stamped = int64(workers)
-		} else if workers < 0 {
-			stamped = 0 // core's zero value = auto
-		}
-		next[cap] = stamped
-	}
-	if len(next) == 0 {
-		e.bucketWidths.Store(nil)
-		return
-	}
-	e.bucketWidths.Store(&next)
-}
-
-// BucketSolveWorkers reports the live per-bucket width overrides as a
-// bucket-capacity → width map in the engine convention (1 serial, -1
-// auto, >1 pinned). Empty when no bucket has an override.
-func (e *Engine) BucketSolveWorkers() map[int]int {
-	out := make(map[int]int)
-	if m := e.bucketWidths.Load(); m != nil {
-		for cap, w := range *m {
-			switch {
-			case w == 0:
-				out[cap] = -1
-			default:
-				out[cap] = int(w)
-			}
-		}
-	}
-	return out
-}
-
-// SetAutoCrossover retargets the window length where auto-mode solves
-// engage the kernel worker team, on every shard kernel (n <= 0 restores
-// the built-in default). See core.Kernel.SetAutoCrossover.
-func (e *Engine) SetAutoCrossover(n int) {
-	if e.shared != nil {
-		e.shared.SetAutoCrossover(n)
-		return
-	}
-	for _, s := range e.shards {
-		s.kernel.SetAutoCrossover(n)
-	}
-}
-
-// AutoCrossover reports the live auto-mode engagement threshold.
-func (e *Engine) AutoCrossover() int {
-	return e.Kernel().AutoCrossover()
-}
-
 // Stats returns a snapshot of the engine's counters: the cross-shard
 // aggregates plus the per-shard breakdown.
 func (e *Engine) Stats() Stats {
@@ -688,9 +568,6 @@ func mergeKernelStats(sts []core.KernelStats) core.KernelStats {
 		out.Parallel.BusySeconds += st.Parallel.BusySeconds
 		out.Parallel.CrossoverSkips += st.Parallel.CrossoverSkips
 		out.Parallel.Workers += st.Parallel.Workers
-		if st.Parallel.AutoCrossover > out.Parallel.AutoCrossover {
-			out.Parallel.AutoCrossover = st.Parallel.AutoCrossover
-		}
 		for _, b := range st.Buckets {
 			m := buckets[b.Cap]
 			m.Cap = b.Cap
@@ -738,14 +615,15 @@ var (
 )
 
 // Default returns the shared process-wide engine, creating it with
-// default options (GOMAXPROCS shards) on first use. It is what the
-// experiment harness and the command-line tools plan through, so a
-// whole process shares one memo and one parallelism budget.
+// default options (GOMAXPROCS shards) and serial solves on first use.
+// It is what the experiment harness and the command-line tools plan
+// through, so a whole process shares one memo and one parallelism
+// budget.
 func Default() *Engine {
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
 	if defaultEng == nil {
-		defaultEng = New(Options{})
+		defaultEng = New(Options{SolveWorkers: 1})
 	}
 	return defaultEng
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"chainckpt/internal/core"
 )
 
 // Fingerprint returns the canonical cache key of a planning request: a
@@ -32,8 +34,8 @@ func Fingerprint(req Request) (string, error) {
 	// SolveWorkers is excluded from the hash (it cannot change the
 	// plan), so an invalid value must not share a key — and an error —
 	// with valid requests for the same instance.
-	if req.Opts.SolveWorkers < 0 {
-		return "", fmt.Errorf("engine: SolveWorkers must be non-negative, got %d", req.Opts.SolveWorkers)
+	if err := core.CheckSolveWorkers(req.Opts.SolveWorkers); err != nil {
+		return "", fmt.Errorf("engine: %w", err)
 	}
 	h := sha256.New()
 	buf := make([]byte, 8)

@@ -24,16 +24,9 @@ type shard struct {
 	kernel    *core.Kernel
 	cacheSize int // per-shard memo capacity; negative disables caching
 	nworkers  int // pool goroutines this shard owns
-	// solveWorkers is stamped on requests whose Opts.SolveWorkers is
-	// unset: 1 keeps solves serial (the engine default), 0 selects the
-	// solver's crossover-gated auto mode, larger values pin a team.
-	// Atomic so the ops-plane self-tuner can retarget a live engine
-	// without pausing traffic.
-	solveWorkers atomic.Int64
-	// bucketWidths points at the engine's shared per-size-bucket width
-	// override table (see Engine.SetBucketSolveWorkers); consulted
-	// before solveWorkers when stamping a request.
-	bucketWidths *atomic.Pointer[map[int]int64]
+	// solveWorkers is the engine's Options.SolveWorkers, stamped on
+	// requests whose Opts.SolveWorkers is unset.
+	solveWorkers int
 
 	jobs    chan func()
 	workers sync.WaitGroup // pool goroutines
@@ -56,15 +49,15 @@ type shard struct {
 // newShard starts one shard with its own worker goroutines.
 func newShard(id int, kernel *core.Kernel, cacheSize, workers, solveWorkers int, m *Metrics) *shard {
 	s := &shard{
-		id:        id,
-		kernel:    kernel,
-		cacheSize: cacheSize,
-		nworkers:  workers,
-		jobs:      make(chan func()),
-		cache:     make(map[string]*list.Element),
-		order:     list.New(),
+		id:           id,
+		kernel:       kernel,
+		cacheSize:    cacheSize,
+		nworkers:     workers,
+		solveWorkers: solveWorkers,
+		jobs:         make(chan func()),
+		cache:        make(map[string]*list.Element),
+		order:        list.New(),
 	}
-	s.solveWorkers.Store(int64(solveWorkers))
 	s.queueWait, s.solveLat, s.steals = m.shardChildren(id)
 	for w := 0; w < workers; w++ {
 		s.workers.Add(1)
@@ -245,30 +238,12 @@ func (s *shard) solveOnPool(ctx context.Context, req Request) (*core.Result, err
 }
 
 // solve runs the dynamic program for one request through the shard's
-// kernel. Requests that do not pin their own solver parallelism inherit
-// the engine's SolveWorkers policy; the engine default keeps solves
-// serial, because the pool already provides instance-level parallelism.
-// resolveWidth picks the core SolveWorkers value to stamp on a request
-// that left its own unset: the per-size-bucket override for the
-// request's window length when the tuner has installed one, the shard's
-// global width otherwise. Width is pure scheduling — the plan bytes are
-// identical at every setting — so reading a torn-free snapshot of the
-// COW table without further synchronization is safe.
-func (s *shard) resolveWidth(req Request) int {
-	if s.bucketWidths != nil && req.Chain != nil {
-		if m := s.bucketWidths.Load(); m != nil {
-			if w, ok := (*m)[core.BucketCap(req.Chain.Len())]; ok {
-				return int(w)
-			}
-		}
-	}
-	return int(s.solveWorkers.Load())
-}
-
+// kernel. Requests that do not pin their own solver width inherit the
+// engine's Options.SolveWorkers.
 func (s *shard) solve(ctx context.Context, req Request) (*core.Result, error) {
 	opts := req.Opts
 	if opts.SolveWorkers == 0 {
-		opts.SolveWorkers = s.resolveWidth(req)
+		opts.SolveWorkers = s.solveWorkers
 	}
 	span := obs.SpanFrom(ctx).Child("kernel.solve")
 	span.SetAttr("algorithm", string(req.Algorithm))

@@ -8,17 +8,16 @@
 //     snapshots, in the Google-SRE sense: burn = badFraction/(1-objective),
 //     where 1.0 means the error budget is being consumed exactly at the
 //     rate that exhausts it at the window's end.
-//   - Tuner (tuner.go) periodically reads the kernel's live size
-//     histogram, calls Engine.Tune for scratch-pool retuning and
-//     retargets per-solve parallelism for the observed size regime,
-//     recording every decision as a structured TuningEvent.
+//   - Tuner (tuner.go) periodically calls Engine.Tune for scratch-pool
+//     retuning and nudges the admission bound from the engine's
+//     queue-wait histogram, recording every cycle, with the solve sizes
+//     it saw, as a structured TuningEvent.
 //   - Controller (admission.go) is a bounded admission gate ahead of
 //     the shard pools: two priority classes, per-request deadlines, and
 //     burn-rate-coupled load-shedding that drops batch work first.
 //
 // Determinism bar: nothing in this package may change plan bytes.
-// Tuning only swaps scratch pools and solve-team widths (the DP
-// recurrence is identical at every width) and admission only decides
+// Tuning only swaps scratch pools and admission only decides
 // when/whether work runs — both proven by the cross-validation suite.
 package ops
 
@@ -67,10 +66,8 @@ type Metrics struct {
 	ConcurrentLimit *obs.Gauge        // chainckpt_admission_concurrent_limit
 
 	// Tuner families.
-	TunerCycles        *obs.CounterVec // chainckpt_tuner_cycles_total{trigger}
-	TunerActions       *obs.CounterVec // chainckpt_tuner_events_total{action}
-	TunerWorkers       *obs.Gauge      // chainckpt_tuner_solve_workers
-	TunerBucketWorkers *obs.GaugeVec   // chainckpt_tuner_bucket_workers{bucket}
+	TunerCycles  *obs.CounterVec // chainckpt_tuner_cycles_total{trigger}
+	TunerActions *obs.CounterVec // chainckpt_tuner_events_total{action}
 }
 
 // NewMetrics registers the ops-plane families on reg and returns the
@@ -122,13 +119,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Self-tune cycles run, by trigger (periodic, forced).",
 			"trigger"),
 		TunerActions: reg.NewCounterVec("chainckpt_tuner_events_total",
-			"Self-tune decisions, by action (retune, keep).",
+			"Self-tune cycles by action (retune when the cycle moved the admission bound, keep otherwise).",
 			"action"),
-		TunerWorkers: reg.NewGauge("chainckpt_tuner_solve_workers",
-			"Per-solve parallelism currently targeted by the tuner (engine convention: 1 serial, -1 auto, >1 pinned)."),
-		TunerBucketWorkers: reg.NewGaugeVec("chainckpt_tuner_bucket_workers",
-			"Per-size-bucket solve parallelism targeted by the tuner, labeled by bucket capacity (engine convention: 1 serial, -1 auto, >1 pinned).",
-			"bucket"),
 	}
 }
 

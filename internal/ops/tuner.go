@@ -1,42 +1,18 @@
 package ops
 
 import (
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"chainckpt/internal/core"
 	"chainckpt/internal/obs"
 )
 
 // TunableEngine is the slice of the planning engine the tuner drives:
-// scratch-pool retuning plus live retargeting of per-solve
-// parallelism. internal/engine.Engine satisfies it.
+// scratch-pool retuning. internal/engine.Engine satisfies it.
 type TunableEngine interface {
 	// Tune installs exact-capacity scratch pools for the hottest window
 	// lengths (core.Kernel.Tune semantics).
 	Tune()
-	// SolveWorkers reports the current per-solve parallelism in the
-	// engine Options convention: 1 serial, negative auto, >1 pinned.
-	SolveWorkers() int
-	// SetSolveWorkers retargets it, same convention.
-	SetSolveWorkers(n int)
-}
-
-// BucketTunableEngine is the optional widening of TunableEngine for
-// engines that can pin a solve width per size bucket and retarget the
-// auto crossover (internal/engine.Engine satisfies it). A tuner driving
-// a plain TunableEngine simply skips the per-bucket half of its policy.
-type BucketTunableEngine interface {
-	TunableEngine
-	// SetBucketSolveWorkers pins the width for the size bucket holding
-	// window length n (engine convention; 0 clears the override).
-	SetBucketSolveWorkers(n, workers int)
-	// BucketSolveWorkers reports the live overrides, bucket cap → width.
-	BucketSolveWorkers() map[int]int
-	// SetAutoCrossover retargets the auto-engage window length.
-	SetAutoCrossover(n int)
 }
 
 // AdmissionLimiter is the slice of the admission Controller the tuner's
@@ -52,43 +28,17 @@ type SizeCount struct {
 	Solves uint64 `json:"solves"`
 }
 
-// TunerConfig parameterizes the regime policy. Zero values pick the
-// noted defaults.
+// TunerConfig parameterizes the tuner. Zero values pick the noted
+// defaults.
 type TunerConfig struct {
 	// Sizes yields the cumulative per-n solve histogram (engine
-	// Stats().Kernel.Sizes projected to SizeCount). Required.
+	// Stats().Kernel.Sizes projected to SizeCount); each event records
+	// the cycle's delta of it. Nil records none.
 	Sizes func() []SizeCount
-	// LargeN is the window length at and above which a solve benefits
-	// from a worker team (default 192, the solver's auto crossover).
-	LargeN int
-	// LargeShare is the fraction of a cycle's solves that must be
-	// large before the tuner targets auto parallelism (default 0.5).
-	LargeShare float64
-	// MinSamples is the minimum solves a cycle must observe before the
-	// regime decision is trusted (default 16; below it the tuner keeps
-	// the current setting).
-	MinSamples uint64
 	// HistoryCap bounds the tuning-event ring (default 64).
 	HistoryCap int
 	// Now is the clock (default time.Now). Injectable for tests.
 	Now func() time.Time
-
-	// Hysteresis is how many consecutive cycles a per-size-bucket
-	// regime vote must repeat before that bucket's width is flipped
-	// (default 2). An oscillating traffic mix therefore never thrashes
-	// a bucket: the streak resets every time the vote changes. The
-	// global decision above is deliberately unaffected — it keeps the
-	// immediate single-cycle behavior it has always had.
-	Hysteresis int
-	// Cooldown is how many cycles after a bucket flip before that
-	// bucket may flip again (default 2), the second thrash guard.
-	Cooldown int
-	// Crossover, when positive, retargets the solver's auto-engage
-	// window length via BucketTunableEngine.SetAutoCrossover at
-	// construction, and becomes the default LargeN — so the "big enough
-	// to parallelize" threshold is one measured, operator-adjustable
-	// number instead of a compile-time constant.
-	Crossover int
 
 	// Admission, when non-nil together with a QueueWait source and a
 	// positive AdmitMax, enables the adaptive-concurrency loop: each
@@ -109,45 +59,20 @@ type TunerConfig struct {
 	QueueWaitHigh, QueueWaitLow float64
 }
 
-// BucketDecision records one size bucket's slice of a tuning cycle.
-type BucketDecision struct {
-	// Bucket is the capacity class (core.BucketCap of the windows in it).
-	Bucket int `json:"bucket"`
-	// Solves/LargeShare describe the cycle's traffic inside the bucket.
-	Solves     uint64  `json:"solves"`
-	LargeShare float64 `json:"large_share"`
-	// Target is the width the cycle voted for (engine convention).
-	Target int `json:"target"`
-	// Workers is the override in force after the cycle (0 = none, the
-	// bucket follows the global width).
-	Workers int `json:"workers"`
-	// Action is what happened: "retune" (flipped), "pending" (vote
-	// streak still building), "cooldown" (flip suppressed), "keep".
-	Action string `json:"action"`
-}
-
 // TuningEvent records one self-tune cycle: what the tuner saw, what it
-// decided, and the config before/after. Served by GET /v1/admin/tune.
+// decided, and the admission bound before/after. Served by GET
+// /v1/admin/tune.
 type TuningEvent struct {
 	Time    time.Time `json:"time"`
 	Trigger string    `json:"trigger"` // "periodic" or "forced"
-	Action  string    `json:"action"`  // "retune" or "keep"
-	// OldSolveWorkers/NewSolveWorkers in the engine convention
-	// (1 serial, -1 auto, >1 pinned).
-	OldSolveWorkers int `json:"old_solve_workers"`
-	NewSolveWorkers int `json:"new_solve_workers"`
-	// CycleSolves / CycleLarge count the solves observed since the
-	// previous cycle, and how many were at or above LargeN.
-	CycleSolves uint64  `json:"cycle_solves"`
-	CycleLarge  uint64  `json:"cycle_large"`
-	LargeShare  float64 `json:"large_share"`
+	// Action is "retune" when the cycle moved the admission bound,
+	// "keep" otherwise.
+	Action string `json:"action"`
+	// CycleSolves counts the solves observed since the previous cycle.
+	CycleSolves uint64 `json:"cycle_solves"`
 	// TopSizes is the triggering snapshot: the hottest window lengths
 	// of the cycle (at most 8 rows).
 	TopSizes []SizeCount `json:"top_sizes,omitempty"`
-	// Buckets are the per-size-bucket decisions, ascending by bucket
-	// capacity; empty when the engine has no per-bucket support or the
-	// cycle saw no solves.
-	Buckets []BucketDecision `json:"buckets,omitempty"`
 	// OldAdmitLimit/NewAdmitLimit bracket the adaptive-concurrency
 	// nudge; zero when the loop is disabled. QueueWaitP90 is the cycle's
 	// observed p90 shard-pool queue wait in seconds.
@@ -156,62 +81,28 @@ type TuningEvent struct {
 	QueueWaitP90  float64 `json:"queue_wait_p90,omitempty"`
 }
 
-// Tuner closes the loop between the kernel's live solve-size histogram
-// and the engine's parallelism/scratch configuration. Every RunCycle
-// calls Engine.Tune (cheap, always safe) and then decides the solve
-// worker regime from the solves recorded since the previous cycle:
-// mostly-large workloads get the solver's crossover-gated auto mode,
-// mostly-small workloads get the serial path (team overhead dominates
-// below the crossover). Neither changes plan bytes — only how fast a
-// solve runs.
+// Tuner runs the self-tune cycle: every RunCycle calls Engine.Tune
+// (cheap, always safe) and, when enabled, nudges the admission bound
+// from the engine's queue-wait histogram. Neither changes plan bytes —
+// only how fast, and how many, solves run.
 type Tuner struct {
-	cfg     TunerConfig
-	eng     TunableEngine
-	bucketE BucketTunableEngine // nil when eng has no per-bucket support
-	m       *Metrics
+	cfg TunerConfig
+	eng TunableEngine
+	m   *Metrics
 
 	mu       sync.Mutex
 	last     map[int]uint64 // previous cycle's cumulative per-n counts
 	lastWait obs.HistogramSnapshot
-	buckets  map[int]*bucketState
 	history  []TuningEvent
-}
-
-// bucketState is the hysteresis machinery of one size bucket.
-type bucketState struct {
-	current  int // override in force (engine convention), 0 = none
-	pending  int // the width the recent cycles have been voting for
-	streak   int // consecutive cycles pending has repeated
-	cooldown int // cycles left before another flip is allowed
 }
 
 // NewTuner builds a Tuner driving eng. Metrics may be nil.
 func NewTuner(cfg TunerConfig, eng TunableEngine, m *Metrics) *Tuner {
-	if cfg.LargeN <= 0 {
-		cfg.LargeN = 192
-		if cfg.Crossover > 0 {
-			cfg.LargeN = cfg.Crossover
-		}
-	}
-	if cfg.LargeShare <= 0 || cfg.LargeShare >= 1 {
-		cfg.LargeShare = 0.5
-	}
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = 16
-	}
 	if cfg.HistoryCap <= 0 {
 		cfg.HistoryCap = 64
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 2
-	}
-	if cfg.Cooldown < 0 {
-		cfg.Cooldown = 0
-	} else if cfg.Cooldown == 0 {
-		cfg.Cooldown = 2
 	}
 	if cfg.AdmitMin <= 0 {
 		cfg.AdmitMin = 1
@@ -222,17 +113,7 @@ func NewTuner(cfg TunerConfig, eng TunableEngine, m *Metrics) *Tuner {
 	if cfg.QueueWaitLow <= 0 {
 		cfg.QueueWaitLow = 0.005
 	}
-	t := &Tuner{cfg: cfg, eng: eng, m: m, buckets: make(map[int]*bucketState)}
-	if be, ok := eng.(BucketTunableEngine); ok {
-		t.bucketE = be
-		if cfg.Crossover > 0 {
-			be.SetAutoCrossover(cfg.Crossover)
-		}
-	}
-	if m != nil && eng != nil {
-		m.TunerWorkers.Set(float64(eng.SolveWorkers()))
-	}
-	return t
+	return &Tuner{cfg: cfg, eng: eng, m: m}
 }
 
 // RunCycle executes one self-tune cycle and returns its event. trigger
@@ -245,20 +126,14 @@ func (t *Tuner) RunCycle(trigger string) TuningEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	// Scratch-pool retuning first: idempotent, keeps warm pools for
-	// still-hot sizes, and is useful in every regime.
+	// Scratch-pool retuning first: idempotent, and keeps warm pools
+	// for still-hot sizes.
 	t.eng.Tune()
 
-	ev := TuningEvent{
-		Time:            t.cfg.Now(),
-		Trigger:         trigger,
-		Action:          "keep",
-		OldSolveWorkers: t.eng.SolveWorkers(),
-	}
-	ev.NewSolveWorkers = ev.OldSolveWorkers
+	ev := TuningEvent{Time: t.cfg.Now(), Trigger: trigger, Action: "keep"}
 
 	// Delta the cumulative size histogram against the previous cycle
-	// so the decision reflects the current traffic mix, not boot-time
+	// so the event reflects the current traffic mix, not boot-time
 	// history.
 	var sizes []SizeCount
 	if t.cfg.Sizes != nil {
@@ -279,30 +154,13 @@ func (t *Tuner) RunCycle(trigger string) TuningEvent {
 		if d > 0 {
 			cycle = append(cycle, SizeCount{N: s.N, Solves: d})
 			ev.CycleSolves += d
-			if s.N >= t.cfg.LargeN {
-				ev.CycleLarge += d
-			}
 		}
 	}
 	t.last = cur
-	ev.Buckets = t.decideBuckets(cycle)
 	if len(cycle) > 8 {
 		cycle = cycle[:8]
 	}
 	ev.TopSizes = cycle
-
-	if ev.CycleSolves >= t.cfg.MinSamples {
-		ev.LargeShare = float64(ev.CycleLarge) / float64(ev.CycleSolves)
-		target := 1 // small regime: serial, team overhead dominates
-		if ev.LargeShare >= t.cfg.LargeShare {
-			target = -1 // large regime: crossover-gated auto team
-		}
-		if target != ev.OldSolveWorkers {
-			t.eng.SetSolveWorkers(target)
-			ev.NewSolveWorkers = target
-			ev.Action = "retune"
-		}
-	}
 
 	t.adaptAdmission(&ev)
 
@@ -313,85 +171,8 @@ func (t *Tuner) RunCycle(trigger string) TuningEvent {
 	if t.m != nil {
 		t.m.TunerCycles.With(trigger).Inc()
 		t.m.TunerActions.With(ev.Action).Inc()
-		t.m.TunerWorkers.Set(float64(ev.NewSolveWorkers))
 	}
 	return ev
-}
-
-// decideBuckets runs the per-size-bucket half of the regime policy
-// over one cycle's delta histogram: group the deltas into capacity
-// classes (core.BucketCap — the same classes the scratch pools and the
-// engine's width table use), vote a width per bucket from the
-// within-bucket large share, and flip a bucket's override only after
-// the vote has repeated for Hysteresis consecutive cycles with its
-// post-flip Cooldown expired. Called with t.mu held.
-func (t *Tuner) decideBuckets(cycle []SizeCount) []BucketDecision {
-	if t.bucketE == nil || len(cycle) == 0 {
-		return nil
-	}
-	solves := make(map[int]uint64)
-	large := make(map[int]uint64)
-	for _, s := range cycle {
-		b := core.BucketCap(s.N)
-		solves[b] += s.Solves
-		if s.N >= t.cfg.LargeN {
-			large[b] += s.Solves
-		}
-	}
-	caps := make([]int, 0, len(solves))
-	for b := range solves {
-		caps = append(caps, b)
-	}
-	sort.Ints(caps)
-	out := make([]BucketDecision, 0, len(caps))
-	for _, b := range caps {
-		st := t.buckets[b]
-		if st == nil {
-			st = &bucketState{}
-			t.buckets[b] = st
-		}
-		if st.cooldown > 0 {
-			st.cooldown--
-		}
-		d := BucketDecision{
-			Bucket:     b,
-			Solves:     solves[b],
-			LargeShare: float64(large[b]) / float64(solves[b]),
-			Action:     "keep",
-		}
-		d.Target = 1 // mostly-small bucket: serial
-		if d.LargeShare >= t.cfg.LargeShare {
-			d.Target = -1 // mostly-large bucket: crossover-gated auto
-		}
-		if solves[b] >= t.cfg.MinSamples {
-			// The vote streak only advances on trusted cycles, and
-			// resets whenever the vote changes — an oscillating mix can
-			// therefore never reach the flip threshold.
-			if d.Target == st.pending {
-				st.streak++
-			} else {
-				st.pending, st.streak = d.Target, 1
-			}
-			switch {
-			case d.Target == st.current:
-			case st.cooldown > 0:
-				d.Action = "cooldown"
-			case st.streak < t.cfg.Hysteresis:
-				d.Action = "pending"
-			default:
-				t.bucketE.SetBucketSolveWorkers(b, d.Target)
-				st.current = d.Target
-				st.cooldown = t.cfg.Cooldown
-				d.Action = "retune"
-				if t.m != nil {
-					t.m.TunerBucketWorkers.With(strconv.Itoa(b)).Set(float64(d.Target))
-				}
-			}
-		}
-		d.Workers = st.current
-		out = append(out, d)
-	}
-	return out
 }
 
 // adaptAdmission is the adaptive-concurrency loop: delta the shard-pool
@@ -431,6 +212,7 @@ func (t *Tuner) adaptAdmission(ev *TuningEvent) {
 	}
 	if next != cur {
 		t.cfg.Admission.SetMaxConcurrent(next)
+		ev.Action = "retune"
 	}
 	ev.NewAdmitLimit = next
 }

@@ -7,67 +7,16 @@ import (
 	"chainckpt/internal/obs"
 )
 
-// fakeEngine records tuner actuations.
+// fakeEngine counts Tune calls.
 type fakeEngine struct {
-	mu      sync.Mutex
-	workers int
-	tunes   int
+	mu    sync.Mutex
+	tunes int
 }
 
 func (f *fakeEngine) Tune() {
 	f.mu.Lock()
 	f.tunes++
 	f.mu.Unlock()
-}
-
-func (f *fakeEngine) SolveWorkers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.workers
-}
-
-func (f *fakeEngine) SetSolveWorkers(n int) {
-	f.mu.Lock()
-	f.workers = n
-	f.mu.Unlock()
-}
-
-// fakeBucketEngine widens fakeEngine to the BucketTunableEngine surface,
-// recording per-bucket overrides and crossover pushes.
-type fakeBucketEngine struct {
-	fakeEngine
-	bucketMu  sync.Mutex
-	buckets   map[int]int
-	crossover int
-}
-
-func (f *fakeBucketEngine) SetBucketSolveWorkers(n, workers int) {
-	f.bucketMu.Lock()
-	defer f.bucketMu.Unlock()
-	if f.buckets == nil {
-		f.buckets = make(map[int]int)
-	}
-	if workers == 0 {
-		delete(f.buckets, n)
-		return
-	}
-	f.buckets[n] = workers
-}
-
-func (f *fakeBucketEngine) BucketSolveWorkers() map[int]int {
-	f.bucketMu.Lock()
-	defer f.bucketMu.Unlock()
-	out := make(map[int]int, len(f.buckets))
-	for b, w := range f.buckets {
-		out[b] = w
-	}
-	return out
-}
-
-func (f *fakeBucketEngine) SetAutoCrossover(n int) {
-	f.bucketMu.Lock()
-	f.crossover = n
-	f.bucketMu.Unlock()
 }
 
 // fakeLimiter records adaptive-admission actuations.
@@ -90,59 +39,41 @@ func (f *fakeLimiter) SetMaxConcurrent(n int) {
 	f.mu.Unlock()
 }
 
-func TestTunerRegimeSwitch(t *testing.T) {
+// TestTunerCycleTunesAndRecordsSizes: every cycle retunes the scratch
+// pools and records the solves seen since the previous cycle (the delta
+// of the cumulative histogram, not boot-time history), its trigger, and
+// the cycle and action counters.
+func TestTunerCycleTunesAndRecordsSizes(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	eng := &fakeEngine{workers: 1}
+	eng := &fakeEngine{}
 	var sizes []SizeCount
-	tu := NewTuner(TunerConfig{
-		Sizes:      func() []SizeCount { return sizes },
-		LargeN:     192,
-		MinSamples: 10,
-	}, eng, m)
+	tu := NewTuner(TunerConfig{Sizes: func() []SizeCount { return sizes }}, eng, m)
 
-	// Cycle 1: mostly large solves -> auto.
 	sizes = []SizeCount{{N: 512, Solves: 90}, {N: 32, Solves: 10}}
 	ev := tu.RunCycle("forced")
-	if ev.Action != "retune" || ev.NewSolveWorkers != -1 {
-		t.Fatalf("large regime event = %+v, want retune to -1", ev)
-	}
-	if eng.SolveWorkers() != -1 {
-		t.Fatalf("engine workers = %d, want -1", eng.SolveWorkers())
-	}
-	if ev.CycleSolves != 100 || ev.CycleLarge != 90 {
-		t.Fatalf("cycle counts = %d/%d, want 100/90", ev.CycleSolves, ev.CycleLarge)
+	if ev.Action != "keep" || ev.CycleSolves != 100 || len(ev.TopSizes) != 2 {
+		t.Fatalf("first cycle event = %+v, want keep with 100 solves in 2 sizes", ev)
 	}
 
-	// Cycle 2: no new solves -> below MinSamples, keep.
-	ev = tu.RunCycle("periodic")
-	if ev.Action != "keep" || ev.CycleSolves != 0 {
-		t.Fatalf("idle cycle event = %+v, want keep with 0 solves", ev)
+	// No new solves.
+	if ev = tu.RunCycle("periodic"); ev.CycleSolves != 0 || len(ev.TopSizes) != 0 {
+		t.Fatalf("idle cycle event = %+v, want 0 solves", ev)
 	}
 
-	// Cycle 3: the traffic mix flips small — the DELTA is all small
-	// even though the cumulative histogram still remembers the large
-	// era, so the tuner must go serial.
+	// Only the n=32 row moved: the delta holds it alone.
 	sizes = []SizeCount{{N: 512, Solves: 90}, {N: 32, Solves: 110}}
 	ev = tu.RunCycle("periodic")
-	if ev.Action != "retune" || ev.NewSolveWorkers != 1 {
-		t.Fatalf("small regime event = %+v, want retune to 1", ev)
-	}
-	if ev.CycleSolves != 100 || ev.CycleLarge != 0 {
-		t.Fatalf("cycle counts = %d/%d, want 100/0", ev.CycleSolves, ev.CycleLarge)
+	if ev.CycleSolves != 100 || len(ev.TopSizes) != 1 || ev.TopSizes[0] != (SizeCount{N: 32, Solves: 100}) {
+		t.Fatalf("third cycle event = %+v, want 100 solves at n=32", ev)
 	}
 
-	// Every cycle retunes scratch pools regardless of regime.
 	if eng.tunes != 3 {
 		t.Fatalf("Tune calls = %d, want 3", eng.tunes)
 	}
-
 	hist := tu.History()
-	if len(hist) != 3 {
-		t.Fatalf("history length = %d, want 3", len(hist))
-	}
-	if hist[0].Trigger != "forced" || hist[1].Trigger != "periodic" {
-		t.Fatalf("history triggers = %s/%s", hist[0].Trigger, hist[1].Trigger)
+	if len(hist) != 3 || hist[0].Trigger != "forced" || hist[1].Trigger != "periodic" {
+		t.Fatalf("history = %+v, want forced then periodic cycles", hist)
 	}
 	if got := m.TunerCycles.With("forced").Value(); got != 1 {
 		t.Fatalf("cycles{forced} = %d, want 1", got)
@@ -150,19 +81,13 @@ func TestTunerRegimeSwitch(t *testing.T) {
 	if got := m.TunerCycles.With("periodic").Value(); got != 2 {
 		t.Fatalf("cycles{periodic} = %d, want 2", got)
 	}
-	if got := m.TunerActions.With("retune").Value(); got != 2 {
-		t.Fatalf("events{retune} = %d, want 2", got)
-	}
-	if got := m.TunerActions.With("keep").Value(); got != 1 {
-		t.Fatalf("events{keep} = %d, want 1", got)
-	}
-	if got := m.TunerWorkers.Value(); got != 1 {
-		t.Fatalf("tuner workers gauge = %v, want 1", got)
+	if got := m.TunerActions.With("keep").Value(); got != 3 {
+		t.Fatalf("events{keep} = %d, want 3", got)
 	}
 }
 
 func TestTunerHistoryBounded(t *testing.T) {
-	eng := &fakeEngine{workers: 1}
+	eng := &fakeEngine{}
 	n := 0
 	tu := NewTuner(TunerConfig{
 		Sizes:      func() []SizeCount { n += 100; return []SizeCount{{N: 512, Solves: uint64(n)}} },
@@ -176,113 +101,12 @@ func TestTunerHistoryBounded(t *testing.T) {
 	}
 }
 
-// bucketDecision pulls one bucket's slice out of a tuning event.
-func bucketDecision(t *testing.T, ev TuningEvent, bucket int) BucketDecision {
-	t.Helper()
-	for _, d := range ev.Buckets {
-		if d.Bucket == bucket {
-			return d
-		}
-	}
-	t.Fatalf("no decision for bucket %d in %+v", bucket, ev.Buckets)
-	return BucketDecision{}
-}
-
-// TestTunerBucketHysteresis: an oscillating traffic mix inside one size
-// bucket (n=250 large vs n=150 small, both bucket 256) must never flip
-// that bucket's width — the vote streak resets on every change — while
-// a stable mix flips exactly once the streak reaches Hysteresis, and the
-// post-flip cooldown suppresses the immediately following counter-vote.
-func TestTunerBucketHysteresis(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	eng := &fakeBucketEngine{}
-	eng.workers = 1
-	var cLarge, cSmall uint64 // cumulative solve counts fed to Sizes
-	tu := NewTuner(TunerConfig{
-		Sizes: func() []SizeCount {
-			return []SizeCount{{N: 250, Solves: cLarge}, {N: 150, Solves: cSmall}}
-		},
-		LargeN:     192,
-		MinSamples: 1,
-		Hysteresis: 2,
-		Cooldown:   2,
-		Crossover:  200,
-	}, eng, m)
-	if eng.crossover != 200 {
-		t.Fatalf("crossover push = %d, want 200", eng.crossover)
-	}
-
-	// Phase 1: strict oscillation. Each cycle's delta votes the opposite
-	// of the last, so the streak never reaches 2 and no override lands.
-	for i := 0; i < 6; i++ {
-		if i%2 == 0 {
-			cLarge += 10
-		} else {
-			cSmall += 10
-		}
-		ev := tu.RunCycle("periodic")
-		d := bucketDecision(t, ev, 256)
-		if d.Action != "pending" {
-			t.Fatalf("oscillation cycle %d bucket action = %q, want pending (%+v)", i, d.Action, d)
-		}
-		if d.Workers != 0 {
-			t.Fatalf("oscillation cycle %d installed override %d", i, d.Workers)
-		}
-	}
-	if got := eng.BucketSolveWorkers(); len(got) != 0 {
-		t.Fatalf("oscillating mix flipped a bucket: %v", got)
-	}
-
-	// Phase 2: two consecutive large cycles. The oscillation ended on a
-	// small vote, so the first large cycle resets the streak to 1
-	// ("pending") and the second reaches Hysteresis and flips.
-	cLarge += 10
-	ev := tu.RunCycle("periodic")
-	if d := bucketDecision(t, ev, 256); d.Action != "pending" {
-		t.Fatalf("first stable cycle action = %q, want pending", d.Action)
-	}
-	cLarge += 10
-	ev = tu.RunCycle("periodic")
-	d := bucketDecision(t, ev, 256)
-	if d.Action != "retune" || d.Target != -1 || d.Workers != -1 {
-		t.Fatalf("second stable cycle = %+v, want retune to -1", d)
-	}
-	if got := eng.BucketSolveWorkers(); got[256] != -1 {
-		t.Fatalf("bucket overrides after flip = %v, want 256:-1", got)
-	}
-	if got := m.TunerBucketWorkers.With("256").Value(); got != -1 {
-		t.Fatalf("bucket workers gauge = %v, want -1", got)
-	}
-
-	// Phase 3: the traffic turns small. The first counter-cycle is inside
-	// the cooldown window; the second clears it and, with the streak at
-	// Hysteresis, flips back.
-	cSmall += 10
-	ev = tu.RunCycle("periodic")
-	if d := bucketDecision(t, ev, 256); d.Action != "cooldown" {
-		t.Fatalf("post-flip cycle action = %q, want cooldown", d.Action)
-	}
-	cSmall += 10
-	ev = tu.RunCycle("periodic")
-	d = bucketDecision(t, ev, 256)
-	if d.Action != "retune" || d.Target != 1 {
-		t.Fatalf("cooldown-expired cycle = %+v, want retune to 1", d)
-	}
-	if got := eng.BucketSolveWorkers(); got[256] != 1 {
-		t.Fatalf("bucket overrides after flip back = %v, want 256:1", got)
-	}
-	if got := m.TunerBucketWorkers.With("256").Value(); got != 1 {
-		t.Fatalf("bucket workers gauge = %v, want 1", got)
-	}
-}
-
 // TestTunerAdmissionAdapt: the adaptive-concurrency loop deltas the
 // queue-wait histogram each cycle and steps the admission bound down on
 // a hot p90, up on a cold one, clamped to [AdmitMin, AdmitMax], and
 // holds still on an idle cycle.
 func TestTunerAdmissionAdapt(t *testing.T) {
-	eng := &fakeEngine{workers: 1}
+	eng := &fakeEngine{}
 	lim := &fakeLimiter{limit: 16}
 	uppers := []float64{0.001, 0.01, 0.1, 1}
 	var snap obs.HistogramSnapshot
@@ -297,9 +121,9 @@ func TestTunerAdmissionAdapt(t *testing.T) {
 	// 50ms high-water mark. Step down by cur/4: 16 -> 12.
 	snap = obs.HistogramSnapshot{Uppers: uppers, Cum: []uint64{0, 0, 100, 100, 100}, Sum: 5}
 	ev := tu.RunCycle("periodic")
-	if ev.OldAdmitLimit != 16 || ev.NewAdmitLimit != 12 || lim.MaxConcurrent() != 12 {
-		t.Fatalf("hot cycle = old %d new %d limiter %d, want 16 -> 12",
-			ev.OldAdmitLimit, ev.NewAdmitLimit, lim.MaxConcurrent())
+	if ev.OldAdmitLimit != 16 || ev.NewAdmitLimit != 12 || lim.MaxConcurrent() != 12 || ev.Action != "retune" {
+		t.Fatalf("hot cycle = old %d new %d limiter %d action %q, want retune 16 -> 12",
+			ev.OldAdmitLimit, ev.NewAdmitLimit, lim.MaxConcurrent(), ev.Action)
 	}
 	if ev.QueueWaitP90 < 0.05 {
 		t.Fatalf("hot cycle p90 = %v, want >= 0.05", ev.QueueWaitP90)
@@ -317,7 +141,7 @@ func TestTunerAdmissionAdapt(t *testing.T) {
 	// Cycle 3: no new waits — hold.
 	before := lim.sets
 	ev = tu.RunCycle("periodic")
-	if ev.NewAdmitLimit != 15 || lim.sets != before {
+	if ev.NewAdmitLimit != 15 || lim.sets != before || ev.Action != "keep" {
 		t.Fatalf("idle cycle moved the bound: %+v (sets %d -> %d)", ev, before, lim.sets)
 	}
 
